@@ -121,9 +121,11 @@ class _ResultSnapshot:
 class CoordinatorSnapshot:
     """Read-only mirror of one worker's coordinator, updated in place.
 
-    Task snapshots keep their identity across updates so a caller holding
-    ``report.task`` can later find the same object in :attr:`tasks` — the
-    contract the simulation runner's dispute-record lookup relies on.
+    Each worker reply carries only the rows changed since the previous one;
+    :meth:`apply` upserts them.  Task snapshots keep their identity across
+    updates so a caller holding ``report.task`` can later find the same
+    object in :attr:`tasks` — the contract the simulation runner's
+    dispute-record lookup relies on.
     Quacks like a coordinator for the invariant sweeps: ``tasks``,
     ``disputes`` and :meth:`dispute_gas`.
     """
@@ -292,7 +294,9 @@ class ProcessFleet(ServiceCore):
         self._models: Dict[str, FleetModel] = {}
         self._records: Dict[int, _RequestRecord] = {}
         self._by_local: Dict[Tuple[str, int], int] = {}
-        self._pending: Dict[str, List[int]] = {}
+        #: Per-shard queued request ids in submission order.  A dict used
+        #: as an insertion-ordered set: results are removed in O(1).
+        self._pending: Dict[str, Dict[int, None]] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self._executor_workers = 0
         self._closed = False
@@ -345,7 +349,7 @@ class ProcessFleet(ServiceCore):
                               channel=parent_channel)
         self.workers[shard_id] = handle
         self._snapshots[shard_id] = CoordinatorSnapshot(shard_id)
-        self._pending[shard_id] = []
+        self._pending[shard_id] = {}
         self.journals[shard_id] = ShardJournal(shard_id)
         self.ring.add_node(shard_id)
         self._call(handle, {
@@ -395,6 +399,9 @@ class ProcessFleet(ServiceCore):
             raise FleetError(f"worker {handle.shard_id!r} is dead")
         journal = (None if handle.shard_id in self._replaying
                    else self.journals.get(handle.shard_id))
+        # Only journal recovery replays commands; failover keeps the spec
+        # stream alone.
+        commands = journal if self.recovery == "journal" else None
         chain_frames = 0
         try:
             with handle.lock:
@@ -419,17 +426,17 @@ class ProcessFleet(ServiceCore):
                     elif kind == "response":
                         if message.get("ok"):
                             value = message.get("value")
-                            if journal is not None and \
+                            if commands is not None and \
                                     self._should_journal(payload, chain_frames):
-                                journal.record_command(payload, True, value)
+                                commands.record_command(payload, True, value)
                             return value
-                        if journal is not None and \
+                        if commands is not None and \
                                 self._should_journal(payload, chain_frames):
                             # Failed commands that touched the chain are
-                            # journaled too (with their error), keeping the
-                            # replayed sequence-id stream aligned.
-                            journal.record_command(payload, False,
-                                                   message.get("error"))
+                            # journaled too, keeping the replayed
+                            # sequence-id stream aligned.
+                            commands.record_command(payload, False,
+                                                    message.get("error"))
                         raise WorkerError(
                             f"[{handle.shard_id}] {message.get('error')}")
                     else:
@@ -442,9 +449,10 @@ class ProcessFleet(ServiceCore):
 
     def _serve_chain_call(self, shard_id: str,
                           message: Dict[str, Any]) -> Dict[str, Any]:
-        journal = self.journals.get(shard_id)
         seq = message.get("seq")
-        if journal is not None and seq is not None:
+        journal = None if seq is None else self.journals.get(shard_id)
+        replayable = journal is not None and self.recovery == "journal"
+        if replayable:
             recorded = journal.chain_reply(seq, message)
             if recorded is not None:
                 # Replay duplicate: answer from the journal, do not
@@ -486,8 +494,12 @@ class ProcessFleet(ServiceCore):
                      "error_type": "ValueError", "error": str(exc)}
         else:
             reply = {"kind": "chain_reply", "ok": True, "value": value}
-        if journal is not None and seq is not None:
+        if replayable:
             journal.record_chain(seq, message, reply)
+        elif journal is not None:
+            # Nothing replays a failover-mode worker's calls, but the tail
+            # still marks which sequence ids are fresh.
+            journal.advance_chain_tail(seq)
         return reply
 
     def _mark_dead(self, handle: WorkerHandle) -> None:
@@ -650,7 +662,7 @@ class ProcessFleet(ServiceCore):
             proposer_spec=proposer, challenger_spec=challenger,
         )
         self._by_local[(record.shard_id, local_id)] = request_id
-        self._pending[record.shard_id].append(request_id)
+        self._pending[record.shard_id][request_id] = None
         return request_id
 
     def request(self, request_id: int) -> ServiceRequest:
@@ -688,8 +700,9 @@ class ProcessFleet(ServiceCore):
                     break
                 take = min(remaining, len(self._pending[shard_id]))
                 try:
-                    value = self._call(self.workers[shard_id],
-                                       {"op": "process", "max_requests": take})
+                    value = self._call(self.workers[shard_id], {
+                        "op": "process", "max_requests": take,
+                        "latency_cursor": self._latency_cursor(shard_id)})
                 except TransportClosed:
                     died.append(shard_id)
                     continue
@@ -726,8 +739,9 @@ class ProcessFleet(ServiceCore):
 
     def _drain_one(self, shard_id: str) -> Optional[Dict[str, Any]]:
         try:
-            return self._call(self.workers[shard_id], {"op": "process",
-                                                       "max_requests": None})
+            return self._call(self.workers[shard_id], {
+                "op": "process", "max_requests": None,
+                "latency_cursor": self._latency_cursor(shard_id)})
         except TransportClosed:
             return None
 
@@ -742,12 +756,30 @@ class ProcessFleet(ServiceCore):
             self._executor_workers = workers
         return self._executor
 
+    def _latency_cursor(self, shard_id: str) -> int:
+        """Latency samples of ``shard_id`` the parent already holds."""
+        stats = self._last_stats.get(shard_id)
+        return 0 if stats is None else len(stats.latencies_s)
+
+    def _apply_delta(self, shard_id: str, value: Dict[str, Any]) -> None:
+        """Fold a reply's changed coordinator rows and stats into the mirrors.
+
+        The reply's counters replace the shard's; its latencies are the
+        samples after the cursor the op carried, so they extend the list.
+        """
+        self._snapshots[shard_id].apply(value["coordinator"])
+        stats = stats_from_payload(value["stats"])
+        previous = self._last_stats.get(shard_id)
+        if previous is not None:
+            previous.latencies_s.extend(stats.latencies_s)
+            stats.latencies_s = previous.latencies_s
+        self._last_stats[shard_id] = stats
+
     def _apply_process_response(self, shard_id: str,
                                 value: Dict[str, Any]) -> List[ServiceRequest]:
         # Snapshot first: reports built below reference the snapshot tasks.
+        self._apply_delta(shard_id, value)
         snapshot = self._snapshots[shard_id]
-        snapshot.apply(value["coordinator"])
-        self._last_stats[shard_id] = stats_from_payload(value["stats"])
         for name, clones in value.get("clones", []):
             model = self._models.get(name)
             if model is not None and model.shard_id == shard_id:
@@ -760,8 +792,7 @@ class ProcessFleet(ServiceCore):
                 continue
             record = self._records[request_id]
             self._apply_result(record, row, snapshot)
-            if request_id in pending:
-                pending.remove(request_id)
+            pending.pop(request_id, None)
             results.append(record.request)
         return results
 
@@ -908,7 +939,7 @@ class ProcessFleet(ServiceCore):
         else:
             withdrawn = [
                 request_id
-                for request_id in self._pending.get(model.shard_id, [])
+                for request_id in self._pending.get(model.shard_id, {})
                 if self._records[request_id].request.model_name == model.name
             ]
             clones = model.challenger_clones
@@ -1008,7 +1039,7 @@ class ProcessFleet(ServiceCore):
                     self.forfeited_disputes.append(
                         {"shard_id": shard_id, "task": task, "state": state})
         queued = list(self._pending[shard_id])
-        self._pending[shard_id] = []
+        self._pending[shard_id] = {}
         for name in self.model_names:
             model = self._models[name]
             if model.shard_id != shard_id:
@@ -1057,13 +1088,12 @@ class ProcessFleet(ServiceCore):
                 "challenger": record.challenger_spec,
                 "force_challenge": bool(record.request.force_challenge),
             })["local_id"])
-            if request_id in self._pending[old_shard]:
-                self._pending[old_shard].remove(request_id)
+            self._pending[old_shard].pop(request_id, None)
             record.shard_id = target_id
             record.local_id = local_id
             record.request.status = "queued"
             self._by_local[(target_id, local_id)] = request_id
-            self._pending[target_id].append(request_id)
+            self._pending[target_id][request_id] = None
             self.redispatched_requests += 1
 
     # ------------------------------------------------------------------
@@ -1114,11 +1144,12 @@ class ProcessFleet(ServiceCore):
     def stats(self) -> FleetStats:
         for shard_id in self._live_workers():
             try:
-                value = self._call(self.workers[shard_id], {"op": "stats"})
+                value = self._call(self.workers[shard_id], {
+                    "op": "stats",
+                    "latency_cursor": self._latency_cursor(shard_id)})
             except TransportClosed:
                 continue
-            self._snapshots[shard_id].apply(value["coordinator"])
-            self._last_stats[shard_id] = stats_from_payload(value["stats"])
+            self._apply_delta(shard_id, value)
         parts = [self._last_stats[shard_id]
                  for shard_id in sorted(self._last_stats)]
         total = ServiceStats.aggregate(parts)

@@ -9,7 +9,18 @@ record through the repo's canonical codec
 exactly the bytes that crossed the transport, decode strictly, and fingerprint
 deterministically.
 
-Three streams, with distinct write points:
+Three streams, with distinct write points.  Each recovery mode keeps only
+the streams something reads back:
+
+* ``recovery="journal"`` keeps all three: replay re-sends the commands and
+  answers re-issued chain calls from the chain stream.
+* ``recovery="failover"`` keeps the spec stream alone (the J1 invariant
+  and the fleet's forfeited-dispute report read it).  Nothing replays a
+  failover-mode worker, so no command or chain reply is stored; only
+  :attr:`ShardJournal.chain_tail` advances, marking which sequence ids are
+  fresh.
+
+The streams:
 
 * **spec entries** — the coordinator's ``(state, event)`` records
   (``repro.spec.machine``).  The worker ships each one as a one-way
@@ -26,7 +37,10 @@ Three streams, with distinct write points:
   ``process``/…), recorded only once their response arrived.  Replaying them
   against a fresh worker rebuilds its entire in-memory stack; the op that
   was in flight at the crash is *not* replayed here — its caller retries it,
-  and the chain stream dedupe makes the retry exact.
+  and the chain stream dedupe makes the retry exact.  Replay reads only a
+  command's ``ok`` bit and ``submit``'s ``local_id``, so every other reply
+  value is dropped: a ``process`` entry costs the size of its request, not
+  of its reply.
 """
 
 from __future__ import annotations
@@ -94,8 +108,12 @@ class ShardJournal:
             "args": message.get("args", {}),
             "reply": reply,
         })
-        if seq > self.chain_tail:
-            self.chain_tail = seq
+        self.advance_chain_tail(seq)
+
+    def advance_chain_tail(self, seq: int) -> None:
+        """Mark ``seq`` as issued without storing its reply."""
+        if int(seq) > self.chain_tail:
+            self.chain_tail = int(seq)
 
     def chain_reply(self, seq: int, message: Dict[str, Any],
                     ) -> Optional[Dict[str, Any]]:
@@ -129,11 +147,16 @@ class ShardJournal:
 
     def record_command(self, payload: Dict[str, Any], ok: bool,
                        value: Any) -> None:
+        """Append one completed command; ``value`` is kept only if replay
+        reads it (a successful ``submit``), otherwise stored as ``None``."""
+        if not ok or payload.get("op") != "submit":
+            value = None
         self._commands.append(canonical_bytes({
             "payload": payload, "ok": bool(ok), "value": value}))
 
     def commands(self) -> List[Dict[str, Any]]:
-        """Completed commands in order: ``{"payload", "ok", "value"}``."""
+        """Completed commands in order: ``{"payload", "ok", "value"}``
+        (``value`` is ``None`` except for successful ``submit`` ops)."""
         return [decode_canonical(blob) for blob in self._commands]
 
     # -- accounting -------------------------------------------------------

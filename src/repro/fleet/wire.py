@@ -17,8 +17,12 @@ normalizes away, so this module defines the explicit, tagged payload shapes:
   ``{"__scalar__": {"dtype", "value"}}`` tag (a bare ``np.float32`` would
   come back as a Python float and change the perturbed trace bits).
 * **Statistics** — :class:`~repro.protocol.service.ServiceStats` as a flat
-  map, lossless in both directions so fleet-wide aggregation sums the same
-  numbers the in-process service would.
+  map of its fixed-size counters plus the latency samples recorded after a
+  cursor.  A worker reply carries only the samples past the cursor the
+  parent sent, so its size does not grow with history; the parent extends
+  the shard's list with them.  At cursor 0 the map is lossless in both
+  directions, so fleet-wide aggregation sums the same numbers the
+  in-process service would.
 """
 
 from __future__ import annotations
@@ -156,7 +160,9 @@ def decode_perturbation(value: Any) -> Any:
 # Service statistics
 # ----------------------------------------------------------------------
 
-def stats_to_payload(stats: ServiceStats) -> Dict[str, Any]:
+def stats_to_payload(stats: ServiceStats,
+                     latency_cursor: int = 0) -> Dict[str, Any]:
+    """The counters of ``stats`` and its latencies from ``latency_cursor`` on."""
     return {
         "requests_submitted": int(stats.requests_submitted),
         "requests_completed": int(stats.requests_completed),
@@ -170,7 +176,8 @@ def stats_to_payload(stats: ServiceStats) -> Dict[str, Any]:
         "pipelined_drains": int(stats.pipelined_drains),
         "stage_busy_s": {stage: float(seconds)
                          for stage, seconds in stats.stage_busy_s.items()},
-        "latencies_s": [float(value) for value in stats.latencies_s],
+        "latencies_s": [float(value)
+                        for value in stats.latencies_s[latency_cursor:]],
         "status_counts": {status: int(count)
                           for status, count in stats.status_counts.items()},
     }

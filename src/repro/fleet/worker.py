@@ -21,13 +21,25 @@ Every reply carries plain codec values; the structured report/coordinator
 payloads built here are re-materialized parent-side by
 :mod:`repro.fleet.fleet` into snapshot objects the invariant checker and the
 simulation runner can walk exactly as they walk in-process coordinators.
+
+``process`` and ``stats`` replies carry **changes only**, so their size
+follows the cycle's work rather than the shard's history:
+
+* the coordinator part holds the task and dispute rows touched since the
+  previous such reply — every task transition names its task in its
+  journal record, which is how the worker tracks the changed set;
+* the stats part holds the fixed-size counters plus the latency samples
+  after the ``latency_cursor`` the parent sent with the op (the number of
+  samples it already holds).
+
+The parent upserts the rows into its mirror and extends its latency list.
 """
 
 from __future__ import annotations
 
 import importlib
 import socket
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Set
 
 from repro.calibration.committee import CommitteeEnvelopeProfile
 from repro.calibration.thresholds import ThresholdTable
@@ -97,27 +109,6 @@ def _request_payload(request: ServiceRequest) -> Dict[str, Any]:
     }
 
 
-def _coordinator_payload(coordinator: Coordinator) -> Dict[str, Any]:
-    tasks = []
-    for task in coordinator.tasks.values():
-        tasks.append({
-            "task_id": int(task.task_id),
-            "model_name": task.model_name,
-            "status": task.status.value,
-            "dispute_id": None if task.dispute_id is None else int(task.dispute_id),
-        })
-    disputes = []
-    for dispute in coordinator.disputes.values():
-        disputes.append({
-            "dispute_id": int(dispute.dispute_id),
-            "task_id": int(dispute.task_id),
-            "phase": dispute.phase.value,
-            "adjudication_path": dispute.adjudication_path,
-            "gas_used": int(coordinator.dispute_gas(dispute.dispute_id)),
-        })
-    return {"tasks": tasks, "disputes": disputes}
-
-
 class _WorkerState:
     """The per-process stack plus the op handlers over it."""
 
@@ -132,6 +123,10 @@ class _WorkerState:
         # parent always journals the transition before applying any of its
         # chain mutations.
         self.coordinator.journal = self._emit_journal
+        #: Tasks touched since the last reply that carried coordinator rows.
+        #: Every task transition names its task in its journal record, so
+        #: this is exactly the set of rows the parent's mirror is missing.
+        self._changed_tasks: Set[int] = set()
         knobs = {key: hello["service"][key]
                  for key in _SERVICE_KNOBS if key in hello["service"]}
         if knobs.get("cycle_capacity") is not None:
@@ -140,6 +135,8 @@ class _WorkerState:
         self.actors = importlib.import_module(hello["actor_module"])
 
     def _emit_journal(self, entry: Dict[str, Any]) -> None:
+        if entry.get("task") is not None:
+            self._changed_tasks.add(int(entry["task"]))
         # Stamp the transition with the sequence id of its first upcoming
         # chain call.  A recovered worker re-traverses the interrupted
         # command deterministically and re-emits the same records with the
@@ -148,6 +145,43 @@ class _WorkerState:
         entry = dict(entry)
         entry["chain_seq"] = self.chain.next_seq
         self.channel.send({"kind": "journal", "entry": entry})
+
+    def _coordinator_delta(self) -> Dict[str, Any]:
+        """Task and dispute rows changed since the previous delta.
+
+        A dispute's rows (phase, path, gas) change only inside transitions
+        of its task, so the changed tasks name every changed dispute too.
+        """
+        coordinator = self.coordinator
+        tasks = []
+        disputes = []
+        for task_id in sorted(self._changed_tasks):
+            task = coordinator.tasks.get(task_id)
+            if task is None:
+                continue  # the transition failed before creating the task
+            tasks.append({
+                "task_id": int(task.task_id),
+                "model_name": task.model_name,
+                "status": task.status.value,
+                "dispute_id": None if task.dispute_id is None
+                else int(task.dispute_id),
+            })
+            if task.dispute_id is not None:
+                dispute = coordinator.disputes[task.dispute_id]
+                disputes.append({
+                    "dispute_id": int(dispute.dispute_id),
+                    "task_id": int(dispute.task_id),
+                    "phase": dispute.phase.value,
+                    "adjudication_path": dispute.adjudication_path,
+                    "gas_used": int(coordinator.dispute_gas(dispute.dispute_id)),
+                })
+        self._changed_tasks.clear()
+        disputes.sort(key=lambda row: row["dispute_id"])
+        return {"tasks": tasks, "disputes": disputes}
+
+    def _stats_delta(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        return stats_to_payload(self.service.stats(),
+                                latency_cursor=int(message["latency_cursor"]))
 
     # -- op handlers -----------------------------------------------------
 
@@ -193,8 +227,8 @@ class _WorkerState:
             max_requests=None if max_requests is None else int(max_requests))
         return {
             "results": [_request_payload(request) for request in processed],
-            "stats": stats_to_payload(self.service.stats()),
-            "coordinator": _coordinator_payload(self.coordinator),
+            "stats": self._stats_delta(message),
+            "coordinator": self._coordinator_delta(),
             "clones": [[name, int(self.service.model(name).challenger_clones)]
                        for name in self.service.model_names],
         }
@@ -208,8 +242,8 @@ class _WorkerState:
         return {"challenger_clones": int(entry.challenger_clones)}
 
     def op_stats(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        return {"stats": stats_to_payload(self.service.stats()),
-                "coordinator": _coordinator_payload(self.coordinator)}
+        return {"stats": self._stats_delta(message),
+                "coordinator": self._coordinator_delta()}
 
     def op_hash_leaves(self, message: Dict[str, Any]) -> Dict[str, Any]:
         return {"hashes": [hash_leaf(payload)

@@ -19,6 +19,10 @@ leaves the parent: workers reach the one shared chain through nested
 ``chain_call`` messages, which is precisely what makes this exactness
 possible across process boundaries.
 
+Worker replies carry only what changed since the previous reply, so the
+parent's coordinator mirror and statistics are pinned against the plain
+service after every cycle, with ``stats()`` calls interleaved.
+
 The worker pool is also the fleet's Merkle backend:
 ``commit_weights_parallel`` must reproduce the serial
 :func:`~repro.merkle.commitments.commit_weights` root byte for byte.
@@ -26,7 +30,7 @@ The worker pool is also the fleet's Merkle backend:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 import pytest
@@ -36,7 +40,8 @@ from repro.fleet import ProcessFleet
 from repro.fleet.wire import encode_perturbation
 from repro.merkle.commitments import commit_weights
 from repro.merkle.tree import verify_proof
-from repro.protocol.service import ServiceCore
+from repro.protocol import TAOService
+from repro.protocol.service import ServiceCore, ServiceStats
 from repro.utils.serialization import canonical_bytes
 
 from test_cluster_equivalence import (  # noqa: F401 - fixture re-export
@@ -47,6 +52,43 @@ from test_cluster_equivalence import (  # noqa: F401 - fixture re-export
     reference,
     tenant_graphs,
 )
+
+
+#: ServiceStats fields that count work exactly (the rest are seconds).
+STATS_COUNTERS = ("requests_submitted", "requests_completed", "cache_hits",
+                  "batched_requests", "disputes_opened", "dispute_rounds",
+                  "pipelined_drains", "status_counts")
+
+
+def stats_counters(stats: ServiceStats) -> Dict[str, Any]:
+    """The exact counters of ``stats`` plus its number of latency samples."""
+    counters = {name: getattr(stats, name) for name in STATS_COUNTERS}
+    counters["latency_samples"] = len(stats.latencies_s)
+    return counters
+
+
+def coordinator_rows(coordinator) -> Dict[str, Dict[int, Tuple]]:
+    """Task and dispute rows of a live coordinator or a fleet snapshot."""
+    return {
+        "tasks": {task_id: (task.model_name, task.status.value, task.dispute_id)
+                  for task_id, task in coordinator.tasks.items()},
+        "disputes": {dispute_id: (dispute.task_id, dispute.phase.value,
+                                  dispute.adjudication_path,
+                                  coordinator.dispute_gas(dispute_id))
+                     for dispute_id, dispute in coordinator.disputes.items()},
+    }
+
+
+def _cheat_spec(graph, payload_seed: int) -> Dict[str, Any]:
+    """The wire twin of session.make_adversarial_proposer(...): same name,
+    same delta, rebuilt inside the worker."""
+    return {
+        "type": "adversarial",
+        "name": f"{graph.name}-cheat-{payload_seed}",
+        "perturbations": {
+            _victim(graph): encode_perturbation(np.float32(0.05)),
+        },
+    }
 
 
 def _drive_fleet(fleet: ProcessFleet, graphs, thresholds, input_factory,
@@ -62,17 +104,8 @@ def _drive_fleet(fleet: ProcessFleet, graphs, thresholds, input_factory,
     def submit(chunk):
         for tenant, payload_seed, kind in chunk:
             graph = graphs[tenant]
-            proposer = None
-            if kind == "cheat":
-                # The wire twin of session.make_adversarial_proposer(...):
-                # same name, same delta, rebuilt inside the worker.
-                proposer = {
-                    "type": "adversarial",
-                    "name": f"{graph.name}-cheat-{payload_seed}",
-                    "perturbations": {
-                        _victim(graph): encode_perturbation(np.float32(0.05)),
-                    },
-                }
+            proposer = (_cheat_spec(graph, payload_seed) if kind == "cheat"
+                        else None)
             request_ids.append(fleet.submit(
                 graph.name, input_factory(payload_seed),
                 proposer=proposer, force_challenge=(kind == "force"),
@@ -129,6 +162,55 @@ def test_fleet_matches_plain_service(reference, tenant_graphs, mlp_thresholds,
         assert stats.workers == num_workers
         assert stats.measured_wall_s > 0.0
         assert stats.requests_completed == len(fleet_requests)
+    finally:
+        fleet.close()
+
+
+def test_delta_replies_keep_the_parent_mirror_exact(tenant_graphs,
+                                                   mlp_thresholds,
+                                                   mlp_input_factory):
+    """Changed-rows-only replies rebuild the worker's state exactly.
+
+    A 1-worker fleet and a plain service play the shared schedule (cheats
+    and forced challenges included) in lockstep cycles.  After every
+    ``process()`` the parent's coordinator mirror must equal the service's
+    coordinator row for row, dispute gas included; the ``stats()`` call
+    that follows must report the service's counters and as many latency
+    samples.  The stats reply consumes the worker's changed set and moves
+    the latency cursor, so the next cycle's reply is a delta on top of it.
+    """
+    service = TAOService(n_way=2)
+    fleet = ProcessFleet(num_workers=1, n_way=2)
+    try:
+        sessions = {}
+        for graph in tenant_graphs:
+            sessions[graph.name] = service.register_model(
+                graph, threshold_table=mlp_thresholds)
+            fleet.register_model(graph, threshold_table=mlp_thresholds)
+        events = _schedule()
+        for cycle, start in enumerate(range(0, len(events), 8)):
+            for tenant, payload_seed, kind in events[start:start + 8]:
+                graph = tenant_graphs[tenant]
+                inputs = mlp_input_factory(payload_seed)
+                spec = proposer = None
+                if kind == "cheat":
+                    spec = _cheat_spec(graph, payload_seed)
+                    proposer = sessions[graph.name].make_adversarial_proposer(
+                        spec["name"], {_victim(graph): np.float32(0.05)})
+                service.submit(graph.name, inputs, proposer=proposer,
+                               force_challenge=(kind == "force"))
+                fleet.submit(graph.name, inputs, proposer=spec,
+                             force_challenge=(kind == "force"))
+            service.process()
+            fleet.process()
+            (snapshot,) = fleet.coordinators()
+            assert coordinator_rows(snapshot) == \
+                coordinator_rows(service.coordinator), f"cycle {cycle}"
+            assert stats_counters(fleet.stats()) == \
+                stats_counters(service.stats()), f"cycle {cycle}"
+        # The schedule exercised the dispute rows, not only optimistic ones.
+        assert service.coordinator.disputes
+        assert snapshot.disputes.keys() == service.coordinator.disputes.keys()
     finally:
         fleet.close()
 

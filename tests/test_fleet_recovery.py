@@ -5,9 +5,13 @@ A worker is SIGKILLed at each write-ahead boundary of a dispute-heavy drain
 in place from its parent-held :class:`~repro.fleet.journal.ShardJournal`, and
 the drain resumes.  The acceptance pin: the recovered run's verdict
 fingerprint — request statuses, commitments, dispute statistics (rounds, gas,
-winner, timeout bit), every account balance, the minted total, and the full
-shared transaction log — is *byte-identical* (canonical codec) to an
-uncrashed run, and ``sum(balances) == minted`` holds exactly.
+winner, timeout bit), every account balance, the minted total, the full
+shared transaction log, the parent's coordinator mirror and the ``stats()``
+counters — is *byte-identical* (canonical codec) to an uncrashed run, and
+``sum(balances) == minted`` holds exactly.  Worker replies carry only
+changed rows and the latency samples past the parent's cursor, so the
+mirror and the counters pin that a replayed worker's deltas neither drop
+nor double-count anything.
 
 The post-chain/pre-ack boundary doubles as the at-most-once regression: the
 worker died after the parent applied a ledger mutation but before the ack
@@ -30,6 +34,7 @@ from repro.spec import validate_journal
 from repro.utils.serialization import canonical_bytes
 
 from test_cluster_equivalence import _victim
+from test_fleet_equivalence import coordinator_rows, stats_counters
 
 TERMINAL = {"finalized", "proposer_slashed", "challenger_slashed"}
 
@@ -64,7 +69,7 @@ def _submit_mixed(fleet, graph, input_factory):
     return ids
 
 
-def _fingerprint(fleet, request_ids) -> bytes:
+def _fingerprint(fleet, request_ids, stats) -> bytes:
     rows = []
     for request_id in request_ids:
         request = fleet.request(request_id)
@@ -86,11 +91,16 @@ def _fingerprint(fleet, request_ids) -> bytes:
         })
     log = [(tx.sender, tx.action, tx.gas_used, tx.payload_bytes, tx.shard,
             tx.block, tx.timestamp) for tx in fleet.chain.transactions]
+    mirrors = [coordinator_rows(snapshot) for snapshot in fleet.coordinators()]
     return canonical_bytes({
         "rows": rows,
         "balances": dict(fleet.chain.balances),
         "minted": fleet.chain.minted,
         "log": log,
+        "coordinators": [{"tasks": sorted(mirror["tasks"].items()),
+                          "disputes": sorted(mirror["disputes"].items())}
+                         for mirror in mirrors],
+        "stats": stats_counters(stats),
     })
 
 
@@ -119,8 +129,11 @@ def _drive(graph, thresholds, input_factory, boundary=None):
         for request_id in request_ids:
             assert fleet.request(request_id).status in TERMINAL
         summary = validate_journal(fleet.journal_for(home).spec_entries())
+        stats = fleet.stats()
+        # A replayed worker's latency cursor neither drops nor repeats samples.
+        assert stats.requests_completed == len(stats.latencies_s)
         return {
-            "fingerprint": _fingerprint(fleet, request_ids),
+            "fingerprint": _fingerprint(fleet, request_ids, stats),
             "balances": dict(fleet.chain.balances),
             "minted": fleet.chain.minted,
             "recoveries": fleet.recoveries,
